@@ -19,6 +19,12 @@ import (
 //   - ReadFromUDPAddrPort blocks until a datagram arrives, the read
 //     deadline passes (returning a net.Error with Timeout() true), or
 //     the conn is closed (any other error).
+//   - SetReadDeadline applies to a read already blocked, not only to
+//     the next one: an expired deadline makes the blocked read return
+//     its timeout at once, a later one makes it wait for the new time.
+//     The shard loop's wake-up pokes (admin commands, cross-shard
+//     handoffs, migrations) depend on this; without it they wait for
+//     the loop's next poll.
 //   - WriteToUDPAddrPort is best-effort and non-blocking; the network
 //     may drop, reorder or duplicate the datagram.
 //   - The buffer passed to either call is owned by the caller and may

@@ -41,6 +41,16 @@
 // observer-less; conformance runs observed — each gets the semantics it
 // needs.
 //
+// # Deadlines
+//
+// A read deadline applies to a read already blocked, as on a kernel
+// socket: SetReadDeadline wakes a parked reader, which times out at
+// once if the new deadline has passed and otherwise waits for it. The
+// fleet relies on this — an admin command, a cross-shard handoff or a
+// migration wakes its shard loop by expiring the read deadline. A
+// blocked read parks on channels only (inbox, close, its reusable
+// deadline timer and a one-slot wake channel).
+//
 // Packets in flight ride real time.AfterFunc timers: a delay model's
 // draw is honoured on the wall clock, which both realises reordering
 // (a slow packet is overtaken by a fast successor) and keeps the
@@ -300,12 +310,7 @@ func (n *Network) Listen() (*Endpoint, error) {
 	}
 	addr := netip.AddrPortFrom(memnetAddr, n.nextPort)
 	n.nextPort++
-	e := &Endpoint{
-		n:      n,
-		addr:   addr,
-		inbox:  make(chan datagram, inboxCap),
-		closed: make(chan struct{}),
-	}
+	e := newEndpoint(n, addr, false)
 	n.eps[addr] = e
 	return e, nil
 }
@@ -336,13 +341,7 @@ func (n *Network) ListenGroup(size int) ([]*Endpoint, error) {
 	n.nextPort++
 	members := make([]*Endpoint, size)
 	for i := range members {
-		members[i] = &Endpoint{
-			n:       n,
-			addr:    addr,
-			grouped: true,
-			inbox:   make(chan datagram, inboxCap),
-			closed:  make(chan struct{}),
-		}
+		members[i] = newEndpoint(n, addr, true)
 	}
 	n.groups[addr] = append([]*Endpoint(nil), members...)
 	return members, nil
@@ -699,13 +698,17 @@ func (n *Network) deliverLocked(d datagram) {
 		releaseFrame(d.frame)
 		return
 	}
-	select {
-	case e.inbox <- d:
-		n.emit(d.from, d.to, *d.frame, Delivered, d.duplicate, d.injected)
-	default:
+	// Report before the send: once queued, the frame belongs to the
+	// reader, which may recycle it while the observer still reads it.
+	// Under the exclusive lock this is the inbox's only sender, so room
+	// now means the send cannot block.
+	if len(e.inbox) == cap(e.inbox) {
 		n.emit(d.from, d.to, *d.frame, Overflowed, d.duplicate, d.injected)
 		releaseFrame(d.frame)
+		return
 	}
+	n.emit(d.from, d.to, *d.frame, Delivered, d.duplicate, d.injected)
+	e.inbox <- d
 }
 
 // datagram is one in-flight packet copy. frame points at a pooled
@@ -736,20 +739,50 @@ type Endpoint struct {
 
 	mu       sync.Mutex
 	deadline time.Time
-	closed   chan struct{}
-	once     sync.Once
+	// parked is true while a read is blocked; SetReadDeadline then
+	// posts on wake so the reader re-reads the deadline. Both are
+	// guarded by mu, so a wake-up can neither be lost nor left behind
+	// for the next read.
+	parked bool
+	wake   chan struct{}
+	// timer bounds a parked read. Owned by the single reader and reused
+	// across reads: Go 1.23+ timers discard a stale tick on Reset.
+	timer *time.Timer
+
+	closed chan struct{}
+	once   sync.Once
 }
 
 var _ fleet.BatchPacketConn = (*Endpoint)(nil)
 
+func newEndpoint(n *Network, addr netip.AddrPort, grouped bool) *Endpoint {
+	return &Endpoint{
+		n:       n,
+		addr:    addr,
+		grouped: grouped,
+		inbox:   make(chan datagram, inboxCap),
+		wake:    make(chan struct{}, 1),
+		closed:  make(chan struct{}),
+	}
+}
+
 // LocalAddrPort returns the endpoint's address.
 func (e *Endpoint) LocalAddrPort() netip.AddrPort { return e.addr }
 
-// SetReadDeadline bounds the next ReadFromUDPAddrPort. The zero time
-// means no deadline.
+// SetReadDeadline bounds reads, including one already blocked: like a
+// kernel socket, a parked reader wakes and either times out (the new
+// deadline has passed) or waits for the new deadline, shorter or
+// longer. The zero time means no deadline. With no reader parked this
+// only stores the deadline.
 func (e *Endpoint) SetReadDeadline(t time.Time) error {
 	e.mu.Lock()
 	e.deadline = t
+	if e.parked {
+		select {
+		case e.wake <- struct{}{}:
+		default: // a wake-up is already pending
+		}
+	}
 	e.mu.Unlock()
 	return nil
 }
@@ -767,33 +800,9 @@ func (timeoutError) Timeout() bool   { return true }
 func (timeoutError) Temporary() bool { return true }
 
 // ReadFromUDPAddrPort blocks for the next datagram, the deadline or
-// Close, whichever comes first.
+// Close, whichever comes first. A queued datagram is returned even
+// past the deadline, mirroring a kernel socket with data ready.
 func (e *Endpoint) ReadFromUDPAddrPort(b []byte) (int, netip.AddrPort, error) {
-	e.mu.Lock()
-	deadline := e.deadline
-	e.mu.Unlock()
-	var timeout <-chan time.Time
-	if !deadline.IsZero() {
-		wait := time.Until(deadline)
-		if wait <= 0 {
-			// Drain anything already queued before declaring a timeout,
-			// mirroring a kernel socket with data ready.
-			for {
-				select {
-				case d := <-e.inbox:
-					if e.dropQueued(d) {
-						continue
-					}
-					return d.read(b)
-				default:
-					return 0, netip.AddrPort{}, timeoutError{}
-				}
-			}
-		}
-		t := time.NewTimer(wait)
-		defer t.Stop()
-		timeout = t.C
-	}
 	for {
 		select {
 		case d := <-e.inbox:
@@ -801,12 +810,57 @@ func (e *Endpoint) ReadFromUDPAddrPort(b []byte) (int, netip.AddrPort, error) {
 				continue
 			}
 			return d.read(b)
+		default:
+		}
+		e.mu.Lock()
+		var wait time.Duration
+		if !e.deadline.IsZero() {
+			if wait = time.Until(e.deadline); wait <= 0 {
+				e.mu.Unlock()
+				return 0, netip.AddrPort{}, timeoutError{}
+			}
+		}
+		e.parked = true
+		e.mu.Unlock()
+		var timeout <-chan time.Time
+		if wait > 0 {
+			if e.timer == nil {
+				e.timer = time.NewTimer(wait)
+			} else {
+				e.timer.Reset(wait)
+			}
+			timeout = e.timer.C
+		}
+		select {
+		case d := <-e.inbox:
+			e.unpark()
+			if e.dropQueued(d) {
+				continue
+			}
+			return d.read(b)
 		case <-e.closed:
+			e.unpark()
 			return 0, netip.AddrPort{}, errClosed
 		case <-timeout:
+			e.unpark()
 			return 0, netip.AddrPort{}, timeoutError{}
+		case <-e.wake:
+			// The deadline moved under us: start over with the new one.
+			e.unpark()
 		}
 	}
+}
+
+// unpark ends a parked read, discarding a wake-up posted after the
+// read was already satisfied so the next read does not spin on it.
+func (e *Endpoint) unpark() {
+	e.mu.Lock()
+	e.parked = false
+	select {
+	case <-e.wake:
+	default:
+	}
+	e.mu.Unlock()
 }
 
 // dropQueued reports whether a queued datagram must be discarded at

@@ -291,28 +291,6 @@ func TestReadDeadlineIsNetTimeout(t *testing.T) {
 	}
 }
 
-func TestCloseWakesReader(t *testing.T) {
-	n := memnet.New(memnet.Faults{})
-	defer n.Close()
-	e, _ := n.Listen()
-	done := make(chan error, 1)
-	go func() {
-		_, _, err := e.ReadFromUDPAddrPort(make([]byte, 16))
-		done <- err
-	}()
-	time.Sleep(20 * time.Millisecond)
-	e.Close()
-	select {
-	case err := <-done:
-		var nerr net.Error
-		if err == nil || (errorsAs(err, &nerr) && nerr.Timeout()) {
-			t.Fatalf("close error = %v, want non-timeout error", err)
-		}
-	case <-time.After(time.Second):
-		t.Fatal("reader not woken by Close")
-	}
-}
-
 func TestSetDownPartitions(t *testing.T) {
 	n := memnet.New(memnet.Faults{})
 	defer n.Close()
